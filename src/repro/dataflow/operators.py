@@ -17,15 +17,24 @@ Design rules that make exactly-once verifiable:
   no-op. Together with the protocols' sequence-number deduplication this
   yields exactly-once *processing* (paper Def. 3): the post-recovery state
   equals the failure-free state.
-- **Snapshot = deepcopy** — asynchronous checkpointing is modelled by
-  copying state at snapshot time; cost is modelled separately from bytes.
+- **Snapshot = container copy** — asynchronous checkpointing is modelled
+  by copying state at snapshot time; cost is modelled separately from
+  bytes. Only the containers (dicts of dicts or sets) are copied. Record
+  values and tuples are shared between live state and snapshots, which
+  is safe because nothing mutates a record value after it is created.
+  ``restore`` copies again, so a stored checkpoint never aliases live
+  state.
 """
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, List, Optional, Tuple
 
 from .messages import Record
+
+
+def _copy_nested(d: Dict[Any, Any]) -> Dict[Any, Any]:
+    """Copy a dict of dicts or sets one level down, sharing the members."""
+    return {k: v.copy() for k, v in d.items()}
 
 
 class Operator:
@@ -138,10 +147,10 @@ class IncrementalJoinOp(Operator):
         return out
 
     def snapshot(self) -> Any:
-        return (copy.deepcopy(self.left), copy.deepcopy(self.right))
+        return (_copy_nested(self.left), _copy_nested(self.right))
 
     def restore(self, snap: Any) -> None:
-        self.left, self.right = copy.deepcopy(snap[0]), copy.deepcopy(snap[1])
+        self.left, self.right = _copy_nested(snap[0]), _copy_nested(snap[1])
 
     def state_bytes(self) -> int:
         n = sum(len(v) for v in self.left.values()) + sum(len(v) for v in self.right.values())
@@ -213,11 +222,15 @@ class WindowJoinOp(Operator):
         return out
 
     def snapshot(self) -> Any:
-        return (copy.deepcopy(self.windows), self.max_window)
+        return (self._copy_windows(self.windows), self.max_window)
 
     def restore(self, snap: Any) -> None:
-        self.windows = copy.deepcopy(snap[0])
+        self.windows = self._copy_windows(snap[0])
         self.max_window = snap[1]
+
+    @staticmethod
+    def _copy_windows(windows: Dict[int, Tuple[Dict, Dict]]) -> Dict[int, Tuple[Dict, Dict]]:
+        return {w: (_copy_nested(left), _copy_nested(right)) for w, (left, right) in windows.items()}
 
     def state_bytes(self) -> int:
         n = 0
@@ -278,10 +291,10 @@ class WindowCountOp(Operator):
         ]
 
     def snapshot(self) -> Any:
-        return (copy.deepcopy(self.counts), self.max_window)
+        return ({w: _copy_nested(km) for w, km in self.counts.items()}, self.max_window)
 
     def restore(self, snap: Any) -> None:
-        self.counts = copy.deepcopy(snap[0])
+        self.counts = {w: _copy_nested(km) for w, km in snap[0].items()}
         self.max_window = snap[1]
 
     def state_bytes(self) -> int:
@@ -386,10 +399,10 @@ class CyclicJoinOp(Operator):
         return out
 
     def snapshot(self) -> Any:
-        return (copy.deepcopy(self.links), copy.deepcopy(self.sources))
+        return (_copy_nested(self.links), _copy_nested(self.sources))
 
     def restore(self, snap: Any) -> None:
-        self.links, self.sources = copy.deepcopy(snap[0]), copy.deepcopy(snap[1])
+        self.links, self.sources = _copy_nested(snap[0]), _copy_nested(snap[1])
 
     def state_bytes(self) -> int:
         n_links = sum(len(v) for v in self.links.values())

@@ -17,6 +17,12 @@ Execution model (all virtual time, deterministic given the config):
   every checkpoint a consistent cut of its instance.
 - COOR markers travel in-stream and therefore queue behind data backlog —
   the mechanism behind the paper's straggler/skew findings.
+- Sources are scheduled lazily: the heap holds at most one pending
+  arrival per source cursor, the record at its offset. Popping it pushes
+  the next record, under the heap counter reserved for it when the
+  cursor was (re)scheduled, so events pop in the same order as if the
+  whole remaining topic had been pushed at once. This relies on every
+  partition being in ingest-time order, which the constructor checks.
 - A failure clears all worker-resident state and in-flight worker-to-worker
   messages (epoch bump); messages already sent toward the external sink
   still arrive. Recovery restores the protocol's recovery line, rewinds
@@ -25,6 +31,7 @@ Execution model (all virtual time, deterministic given the config):
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -32,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .costs import SimCost
-from .graph import LogicalGraph
+from .graph import Edge, LogicalGraph
 from .kafka_sim import ReplayableLog, SourceCursor
 from .messages import (
     CKPT_META_BYTES,
@@ -68,6 +75,18 @@ class SimResult:
         if sink is None:
             sink = next(iter(self.sink_results))
         return self.sink_results[sink]
+
+
+def _check_ingest_order(log: ReplayableLog, partition: int) -> None:
+    """Lazy source scheduling is exact only on ingest-time ordered partitions."""
+    ts = [rec.ingest_ts for rec in log.partitions[partition]]
+    if all(map(operator.le, ts, ts[1:])):
+        return
+    off = next(i for i in range(1, len(ts)) if ts[i] < ts[i - 1])
+    raise ValueError(
+        f"topic {log.topic!r} partition {partition} is not in ingest-time order: "
+        f"offset {off} has ingest_ts {ts[off]} < {ts[off - 1]}"
+    )
 
 
 class Simulation:
@@ -111,14 +130,20 @@ class Simulation:
                             f"partitions, need {n_workers}"
                         )
                     self.cursors[(name, w)] = SourceCursor(log, w)
+                    _check_ingest_order(log, w)
+
+        # --- static routes: op -> [(edge, edge ends at a sink)] ------------
+        self.sink_ops = frozenset(name for name, spec in graph.ops.items() if spec.is_sink)
+        self.routes: Dict[str, List[Tuple[Edge, bool]]] = {name: [] for name in graph.ops}
+        for e in graph.edges:
+            self.routes[e.src].append((e, e.dst in self.sink_ops))
 
         # --- static channel lists per instance -----------------------------
         self.out_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
         self.in_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
         for e in graph.edges:
-            dst_sink = graph.ops[e.dst].is_sink
             for i in range(n_workers):
-                if dst_sink:
+                if e.dst in self.sink_ops:
                     self.out_channels[(e.src, i)].append((e.src, i, e.dst, 0))
                 elif e.routing == "forward":
                     ch = (e.src, i, e.dst, i)
@@ -143,6 +168,9 @@ class Simulation:
 
         # --- event loop ----------------------------------------------------
         self.heap: list = []
+        #: source instance -> (its partition's records, arrival time floor,
+        #: heap counter of offset 0) for the current schedule
+        self._src_plan: Dict[InstanceId, Tuple[List[Record], float, int]] = {}
         self._counter = 0
         self.now = 0.0
         self.epoch = 0
@@ -195,14 +223,31 @@ class Simulation:
 
     # --------------------------------------------------------------- sources
     def _schedule_source_records(self, inst: InstanceId, t_floor: float) -> None:
+        """Schedule the cursor's remaining records, arriving no earlier than
+        ``t_floor``. Only the record at the cursor is pushed; the heap
+        counters of the rest are reserved, one per record, and
+        :meth:`_push_source_record` uses them as each predecessor pops."""
         cur = self.cursors[inst]
-        log, part = cur.log, cur.partition
-        for off in range(cur.offset, log.size(part)):
-            rec = log.read(part, off)
-            ch = (_SRC, 0, inst[0], inst[1])
-            msg = Message(kind=Kind.DATA, channel=ch, seq=off, record=rec, payload_bytes=0)
-            msg.meta["offset"] = off
-            self._push(max(rec.ingest_ts, t_floor), "arrive", msg)
+        records = cur.log.partitions[cur.partition]
+        n_left = len(records) - cur.offset
+        if n_left <= 0:
+            return
+        self._src_plan[inst] = (records, t_floor, self._counter + 1 - cur.offset)
+        self._counter += n_left
+        self._push_source_record(inst, cur.offset)
+
+    def _push_source_record(self, inst: InstanceId, off: int) -> None:
+        records, t_floor, base = self._src_plan[inst]
+        if off >= len(records):
+            return
+        rec = records[off]
+        msg = Message(
+            kind=Kind.DATA, channel=(_SRC, 0, inst[0], inst[1]), seq=off, record=rec,
+            payload_bytes=0,
+        )
+        heapq.heappush(
+            self.heap, (max(rec.ingest_ts, t_floor), base + off, "arrive", self.epoch, msg)
+        )
 
     # --------------------------------------------------------- channel plumb
     def _enqueue(self, t: float, msg: Message) -> None:
@@ -253,7 +298,7 @@ class Simulation:
                 self.in_ready[ch] = False
             dur = self._process(w, ch, msg, t)
             if dur is None:
-                continue  # dropped with zero cost (dup / stale offset)
+                continue  # duplicate dropped with zero cost
             self.busy_until[w] = t + dur
             self._push(t + dur, "proc", w)
             return
@@ -269,12 +314,7 @@ class Simulation:
         spec = self.graph.ops[inst[0]]
 
         if ch[0] == _SRC:
-            cur = self.cursors[inst]
-            if msg.meta["offset"] != cur.offset:
-                self._outbox = None
-                self.current[w] = None
-                return None  # stale pre-rollback schedule
-            cur.advance()
+            self.cursors[inst].advance()
             self.telemetry.n_source_emitted += 1
             service = spec.service_time or cost.op_service("source")
             self._emit(t, inst, msg.record)
@@ -304,11 +344,8 @@ class Simulation:
 
     def _emit(self, t: float, inst: InstanceId, rec: Record) -> None:
         op, idx = inst
-        for edge in self.graph.out_edges(op):
-            if self.graph.ops[edge.dst].is_sink:
-                targets = [0]
-            else:
-                targets = edge.route(rec, idx, self.W)
+        for edge, to_sink in self.routes[op]:
+            targets = (0,) if to_sink else edge.route(rec, idx, self.W)
             for j in targets:
                 ch = (op, idx, edge.dst, j)
                 seq = self.sent_seq.get(ch, 0) + 1
@@ -336,7 +373,7 @@ class Simulation:
         op, idx = inst
         box = self._outbox if self._outbox is not None else []
         for ch in self.out_channels[inst]:
-            if self.graph.ops[ch[2]].is_sink:
+            if ch[2] in self.sink_ops:
                 continue
             msg = Message(
                 kind=Kind.MARKER,
@@ -517,6 +554,7 @@ class Simulation:
 
         pops = 0
         heap = self.heap
+        sink_ops = self.sink_ops
         while heap:
             pops += 1
             if pops > max_events:
@@ -526,14 +564,17 @@ class Simulation:
             if epoch not in (-1, self.epoch):
                 continue  # stale (pre-failure) event
             if kind == "arrive":
+                if data.channel[0] == _SRC:
+                    self._push_source_record(data.channel[2:], data.seq + 1)
                 if not self.failed:
                     self._enqueue(t, data)
             elif kind == "proc":
                 w = data
                 for m in self.current[w] or ():
-                    target = "sink" if self.graph.ops[m.channel[2]].is_sink else "arrive"
-                    exempt = target == "sink"
-                    self._push(t + self.cost.channel_latency, target, m, epoch_exempt=exempt)
+                    if m.channel[2] in sink_ops:
+                        self._push(t + self.cost.channel_latency, "sink", m, epoch_exempt=True)
+                    else:
+                        self._push(t + self.cost.channel_latency, "arrive", m)
                 self.current[w] = None
                 self._dispatch(w, t)
             elif kind == "sink":

@@ -44,7 +44,7 @@ class CheckpointMeta:
 @dataclass
 class StoredCheckpoint:
     meta: CheckpointMeta
-    state: Any  #: deep-copied operator state (or source offset)
+    state: Any  #: operator state from ``snapshot()``: copied containers, shared record values
 
 
 class CheckpointStore:

@@ -100,7 +100,7 @@ class UncoordinatedProtocol(Protocol):
 
     # -- data path ---------------------------------------------------------
     def on_send(self, t: float, inst: InstanceId, msg: Message) -> None:
-        if msg.kind is Kind.DATA and not self.sim.graph.ops[msg.channel[2]].is_sink:
+        if msg.kind is Kind.DATA and msg.channel[2] not in self.sim.sink_ops:
             self.sim.msg_log.append(msg.channel, msg.seq, msg.record)
 
     # -- recovery ----------------------------------------------------------

@@ -1,4 +1,6 @@
 """Unit tests for operator behaviours: semantics, idempotence, snapshots."""
+import copy
+
 import pytest
 
 from repro.dataflow.messages import Record
@@ -97,13 +99,6 @@ class TestIncrementalJoin:
         assert j.state_fingerprint() != fp_after
         out = j.process(rec("r1", 1, {"id": 9}), "R")  # re-derivable
         assert [o.uid for o in out] == ["j:1:9"]
-
-    def test_snapshot_is_deep(self):
-        j = make_join()
-        j.process(rec("l1", 1, {"id": 1}), "L")
-        snap = j.snapshot()
-        j.process(rec("l2", 1, {"id": 2}), "L")
-        assert sum(len(v) for v in snap[0].values()) == 1
 
     def test_state_bytes_grow(self):
         j = make_join()
@@ -291,3 +286,69 @@ class TestCyclicSelectProject:
         assert out[0].value["path"] == (1, 2, 3)
         assert out[0].uid == "path:1:1-2-3"
         assert out[0].key == 3
+
+
+#: stateful operator -> (factory, inputs before the snapshot, inputs after
+#: it). The later inputs grow a key the snapshot already holds, add new
+#: keys, and delete or evict state, so every container level is mutated.
+SNAPSHOT_CASES = {
+    "IncrementalJoinOp": (
+        make_join,
+        [(rec("l1", 1, {"id": 1}), "L"), (rec("r1", 1, {"id": 9}), "R")],
+        [(rec("l2", 1, {"id": 2}), "L"), (rec("r2", 1, {"id": 8}), "R"),
+         (rec("l3", 2, {"id": 3}), "L")],
+    ),
+    "WindowJoinOp": (
+        make_wjoin,
+        [(rec("l1", 1, {"id": 1}, ts=3.0), "L"), (rec("r1", 1, {"id": 9}, ts=4.0), "R")],
+        [(rec("l2", 1, {"id": 2}, ts=5.0), "L"), (rec("r2", 2, {"id": 8}, ts=6.0), "R"),
+         (rec("l3", 1, {"id": 3}, ts=35.0), "L")],
+    ),
+    "WindowCountOp": (
+        lambda: WindowCountOp(0, 1, window=10.0, out_kind="o"),
+        [(rec("b1", 5, {}, ts=1.0), "s"), (rec("b2", 6, {}, ts=2.0), "s")],
+        [(rec("b3", 5, {}, ts=3.0), "s"), (rec("b4", 7, {}, ts=4.0), "s"),
+         (rec("b5", 5, {}, ts=45.0), "s")],
+    ),
+    "CyclicJoinOp": (
+        make_cjoin,
+        [(link("l1", 1, 2), "L"), (srcn("s1", 1), "S"), (srcn("s2", 4, path=(4, 1)), "S")],
+        [(link("l2", 1, 3), "L"), (srcn("s3", 5, path=(5, 1)), "S"),
+         (link("d1", 1, 2, op="del_link"), "L"), (srcn("d2", 4, op="del_source"), "S")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_CASES))
+class TestSnapshotIsolation:
+    def _fed(self, name):
+        factory, before, after = SNAPSHOT_CASES[name]
+        op = factory()
+        for r, src in before:
+            op.process(r, src)
+        return op, after
+
+    @staticmethod
+    def _mutate(op, inputs):
+        fp = op.state_fingerprint()
+        for r, src in inputs:
+            op.process(r, src)
+        assert op.state_fingerprint() != fp  # the inputs really change state
+
+    def test_snapshot_unchanged_by_later_mutation(self, name):
+        op, after = self._fed(name)
+        snap = op.snapshot()
+        frozen = copy.deepcopy(snap)
+        self._mutate(op, after)
+        assert snap == frozen
+
+    def test_restore_does_not_alias_snapshot(self, name):
+        op, after = self._fed(name)
+        snap = op.snapshot()
+        frozen = copy.deepcopy(snap)
+        op.restore(snap)
+        fp = op.state_fingerprint()
+        self._mutate(op, after)
+        assert snap == frozen
+        op.restore(snap)
+        assert op.state_fingerprint() == fp

@@ -1,9 +1,9 @@
 """Tests for the discrete-event simulator's core mechanics."""
 import pytest
 
-from helpers import run_query
+from helpers import make_protocol, run_query
 from repro.dataflow.costs import SimCost
-from repro.dataflow.simulator import Simulation
+from repro.dataflow.simulator import _SRC, Simulation
 from repro.nexmark.generator import topics_for_query
 from repro.nexmark.queries import QUERIES
 from repro.protocols import NoneProtocol
@@ -109,6 +109,38 @@ class TestFailureInjection:
         res = run_query("q12", "UNC", fail_at=6.0)
         rec = res.telemetry.recovery
         assert rec["t_detect"] - rec["t_fail"] == pytest.approx(SimCost().detect_delay)
+
+
+class TestSourceScheduling:
+    def test_unordered_partition_rejected(self):
+        topics = topics_for_query("q1", rate=10, duration=2, n_workers=2)
+        part = topics["bids"].partitions[1]
+        part[2], part[3] = part[3], part[2]
+        with pytest.raises(ValueError, match="topic 'bids' partition 1 is not in ingest-time order"):
+            Simulation(QUERIES["q1"](), 2, NoneProtocol(), topics)
+
+    @pytest.mark.parametrize("fail_at", [None, 3.0])
+    def test_heap_holds_one_arrival_per_source(self, fail_at):
+        topics = topics_for_query("q3", rate=400, duration=6, n_workers=3, seed=1)
+        sim = Simulation(QUERIES["q3"](), 3, make_protocol("UNC"), topics, seed=0)
+        pending = []
+
+        def probe(t):
+            pending.append(
+                sum(1 for e in sim.heap if e[2] == "arrive" and e[4].channel[0] == _SRC)
+            )
+
+        sim.call_at(1.0, probe)
+        on_resume = sim.protocol.on_resume
+
+        def probe_after_resume(t):
+            on_resume(t)
+            sim.call_at(t + 0.5, probe)
+
+        sim.protocol.on_resume = probe_after_resume
+        sim.run(6.0, fail_at=fail_at)
+        assert len(pending) == (1 if fail_at is None else 2)
+        assert all(0 < n <= len(sim.cursors) for n in pending)
 
 
 class TestByteAccounting:
