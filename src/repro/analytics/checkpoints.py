@@ -1,8 +1,8 @@
-"""Checkpoint analytics (paper Table III/IV, Fig. 8).
+"""Checkpoint analytics (paper Tables III/IV).
 
-Totals, invalid percentages and average checkpointing times, computed with
-Spark SQL over the per-run metrics rows or the per-snapshot checkpoint
-frame. DuckDB oracle equivalents accompany each aggregation.
+Total checkpoints and invalid percentages per table cell, computed with the
+DataFrame API over the per-run metrics rows; ``INVALID_SQL`` is the DuckDB
+oracle equivalent over a table named ``metrics``.
 """
 from __future__ import annotations
 
@@ -29,22 +29,4 @@ def invalid_summary(spark: SparkSession, metrics: pd.DataFrame) -> DataFrame:
         F.round(
             100.0 * F.col("invalid") / F.nullif(F.col("ckpt_total"), F.lit(0)), 2
         ).alias("invalid_pct"),
-    )
-
-
-CKPT_TIME_SQL = """
-SELECT op, count(*) AS n, avg(duration) AS avg_duration, avg(state_bytes) AS avg_bytes
-FROM ckpts
-GROUP BY op
-"""
-
-
-def checkpoint_times(spark: SparkSession, ckpts: pd.DataFrame) -> DataFrame:
-    """Average snapshot duration / state size per logical operator, from a
-    run's checkpoint frame (UNC/CIC checkpointing time, Fig. 8)."""
-    df = spark.createDataFrame(ckpts) if isinstance(ckpts, pd.DataFrame) else ckpts
-    return df.groupBy("op").agg(
-        F.count(F.lit(1)).alias("n"),
-        F.avg("duration").alias("avg_duration"),
-        F.avg("state_bytes").alias("avg_bytes"),
     )

@@ -10,7 +10,7 @@ publish its intervals and §III-B explicitly allows per-operator intervals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Dict, Optional
 
 from repro.dataflow.costs import SimCost

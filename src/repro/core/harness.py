@@ -13,8 +13,7 @@ parallelism) maximum sustainable throughput, the paper's operating point.
 from __future__ import annotations
 
 import json
-import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 import pandas as pd

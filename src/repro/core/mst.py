@@ -13,9 +13,6 @@ hot_ratio).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
-
-from repro.dataflow.costs import SimCost
 
 from .config import ExperimentConfig, build
 
@@ -44,29 +41,10 @@ def measure_mst(
         n_nodes=20_000,
     )
     sim = build(cfg)
-    total = sum(t.total_events() for t in _topics_of(sim))
+    # every partition of every topic has exactly one source cursor
+    total = sum(len(cur.log.partitions[cur.partition]) for cur in sim.cursors.values())
     res = sim.run(cfg.duration)
     # drain rate up to the *last sink arrival* — res.duration can be
     # inflated by a pending (no-op) protocol timer event past the horizon
     t_end = max((s for s, _ in res.telemetry.latencies), default=res.duration)
     return total / max(t_end, 1e-9)
-
-
-def _topics_of(sim):
-    logs = {}
-    for inst, cur in sim.cursors.items():
-        logs[cur.log.topic] = cur.log
-    return list(logs.values())
-
-
-def rate_at_fraction(
-    query: str,
-    protocol: str,
-    workers: int,
-    fraction: float = 0.8,
-    hot_ratio_for_mst: float = 0.0,
-) -> float:
-    """Input rate at a fraction of MST. For the skew experiments the paper
-    uses fractions of the *non-skewed* MST (§VII-B, Skewed NexMark), hence
-    the separate ``hot_ratio_for_mst`` default of 0."""
-    return fraction * measure_mst(query, protocol, workers, hot_ratio_for_mst)

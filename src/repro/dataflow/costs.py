@@ -78,5 +78,13 @@ class SimCost:
         average checkpointing time, paper Fig. 8 / Table IV)."""
         return self.snapshot_sync + self.store_rtt + state_bytes * self.snapshot_per_byte
 
-    def restore_time(self, state_bytes: int) -> float:
-        return state_bytes * self.restore_per_byte
+    def restart_time(self, restore_bytes: int, n_replay: int, ckpts_scanned: int) -> float:
+        """Failure detection to resumed processing (paper Fig. 11):
+        restart, restoring the largest snapshot on the recovery line,
+        preparing the replayed messages and searching for the line."""
+        return (
+            self.restart_base
+            + self.restore_per_byte * restore_bytes
+            + self.replay_prep_per_msg * n_replay
+            + self.recovery_line_per_ckpt * ckpts_scanned
+        )

@@ -10,7 +10,7 @@ the offset and the exact same suffix is re-served.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from .messages import Record
 
@@ -46,13 +46,6 @@ class ReplayableLog:
     def n_partitions(self) -> int:
         return len(self.partitions)
 
-    def read(self, partition: int, offset: int) -> Optional[Record]:
-        part = self.partitions[partition]
-        return part[offset] if offset < len(part) else None
-
-    def size(self, partition: int) -> int:
-        return len(self.partitions[partition])
-
     def total_events(self) -> int:
         return sum(len(p) for p in self.partitions)
 
@@ -69,9 +62,6 @@ class SourceCursor:
         self.partition = partition
         self.offset = 0
 
-    def peek(self) -> Optional[Record]:
-        return self.log.read(self.partition, self.offset)
-
     def advance(self) -> None:
         self.offset += 1
 
@@ -80,6 +70,3 @@ class SourceCursor:
 
     def restore(self, offset: int) -> None:
         self.offset = offset
-
-    def exhausted(self) -> bool:
-        return self.offset >= self.log.size(self.partition)

@@ -33,7 +33,6 @@ class Kind(Enum):
 
     DATA = "data"  #: a record produced by the workload
     MARKER = "marker"  #: COOR checkpoint barrier marker
-    PROTO = "proto"  #: protocol metadata (e.g. UNC checkpoint meta to coordinator)
 
 
 @dataclass
@@ -55,16 +54,6 @@ class Record:
     ingest_ts: float
     kind: str = "event"  #: workload-level type tag (e.g. "bid", "person")
 
-    def derive(self, uid_suffix: str, key: Any, value: Any, kind: str) -> "Record":
-        """Create a downstream record that inherits this record's ingest time."""
-        return Record(
-            uid=f"{self.uid}/{uid_suffix}",
-            key=key,
-            value=value,
-            ingest_ts=self.ingest_ts,
-            kind=kind,
-        )
-
 
 @dataclass
 class Message:
@@ -83,21 +72,8 @@ class Message:
     record: Optional[Record]
     payload_bytes: int
     proto_bytes: int = 0
-    send_ts: float = 0.0
     piggyback: Optional[dict] = None
     meta: dict = field(default_factory=dict)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.payload_bytes + self.proto_bytes
-
-    @property
-    def src(self) -> InstanceId:
-        return (self.channel[0], self.channel[1])
-
-    @property
-    def dst(self) -> InstanceId:
-        return (self.channel[2], self.channel[3])
 
 
 #: Default workload payload sizes in bytes per record kind. Q1's bids are the

@@ -33,7 +33,8 @@ from __future__ import annotations
 import heapq
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,7 +43,6 @@ from .costs import SimCost
 from .graph import Edge, LogicalGraph
 from .kafka_sim import ReplayableLog, SourceCursor
 from .messages import (
-    CKPT_META_BYTES,
     MARKER_BYTES,
     Channel,
     InstanceId,
@@ -51,7 +51,6 @@ from .messages import (
     Record,
     payload_bytes_for,
 )
-from .operators import SinkOp
 from .state import CheckpointMeta, CheckpointStore, MessageLog, StoredCheckpoint
 from .telemetry import Telemetry
 
@@ -100,7 +99,6 @@ class Simulation:
         topics: Dict[str, ReplayableLog],
         cost: Optional[SimCost] = None,
         seed: int = 0,
-        spill_dir: Optional[str] = None,
     ):
         graph.validate()
         self.graph = graph
@@ -109,16 +107,18 @@ class Simulation:
         self.cost = cost or SimCost()
         self.rng = np.random.default_rng(seed)
         self.telemetry = Telemetry()
-        self.store = CheckpointStore(spill_dir)
+        self.store = CheckpointStore()
         self.msg_log = MessageLog()
 
         # --- instances -----------------------------------------------------
         self.instances: Dict[InstanceId, Any] = {}
-        self.sinks: Dict[str, SinkOp] = {}
+        #: sink op -> uid -> value of the first arrival (the external sink
+        #: deduplicates by content-addressed uid)
+        self.sink_results: Dict[str, Dict[str, Any]] = {}
         self.cursors: Dict[InstanceId, SourceCursor] = {}
         for name, spec in graph.ops.items():
             if spec.is_sink:
-                self.sinks[name] = SinkOp(0, 1)
+                self.sink_results[name] = {}
                 continue
             for w in range(n_workers):
                 self.instances[(name, w)] = spec.factory(w, n_workers)
@@ -191,6 +191,11 @@ class Simulation:
 
     # ------------------------------------------------------------------ util
     def _push(self, t: float, kind: str, data: Any, epoch_exempt: bool = False) -> None:
+        """Schedule an event of one of the four kinds :meth:`run` handles:
+        ``arrive`` (a message reaches a worker), ``proc`` (a worker finishes
+        a dispatch), ``sink`` (a message reaches the external sink) and
+        ``call`` (``data(t)``: protocol timers, a worker kick after a
+        checkpoint, and the failure, detection and resume steps)."""
         self._counter += 1
         epoch = -1 if epoch_exempt else self.epoch
         heapq.heappush(self.heap, (t, self._counter, kind, epoch, data))
@@ -356,7 +361,6 @@ class Simulation:
                     seq=seq,
                     record=rec,
                     payload_bytes=payload_bytes_for(rec),
-                    send_ts=t,
                 )
                 self.protocol.on_send(t, inst, msg)
                 self.telemetry.n_data_msgs += 1
@@ -382,7 +386,6 @@ class Simulation:
                 record=None,
                 payload_bytes=0,
                 proto_bytes=MARKER_BYTES,
-                send_ts=self.now,
             )
             msg.meta["round"] = round_id
             self.telemetry.n_marker_msgs += 1
@@ -445,13 +448,12 @@ class Simulation:
             self._extra_service += self.cost.snapshot_sync
         else:
             self.busy_until[w] = max(self.busy_until[w], self.now) + self.cost.snapshot_sync
-            self._push(self.busy_until[w], "kick", w)
+            self._push(self.busy_until[w], "call", partial(self._dispatch, w))
         return meta
 
     def log_proto_message(self, n_bytes: int) -> None:
         """Account a standalone protocol message (e.g. checkpoint metadata
         to the coordinator); these bypass worker CPUs."""
-        self.telemetry.n_proto_msgs += 1
         self.telemetry.proto_msg_bytes += n_bytes
 
     # -------------------------------------------------------------- failures
@@ -464,19 +466,14 @@ class Simulation:
         self.current = [None] * self.W
         self.busy_until = [t] * self.W
         self.telemetry.recovery["t_fail"] = t
-        self._push(t + self.cost.detect_delay, "detect", None)
+        self._push(t + self.cost.detect_delay, "call", self._detect)
 
     def _detect(self, t: float) -> None:
         plan = self.protocol.plan_recovery(t)
         restore_bytes = 0
         for inst, idx in plan.line.items():
             restore_bytes = max(restore_bytes, self.store.get(inst, idx).meta.state_bytes)
-        restart = (
-            self.cost.restart_base
-            + self.cost.restore_per_byte * restore_bytes
-            + self.cost.replay_prep_per_msg * plan.n_replay
-            + self.cost.recovery_line_per_ckpt * plan.ckpts_scanned
-        )
+        restart = self.cost.restart_time(restore_bytes, plan.n_replay, plan.ckpts_scanned)
         self.telemetry.recovery.update(
             t_detect=t,
             restart_time=restart,
@@ -484,9 +481,9 @@ class Simulation:
             invalid=plan.invalid,
             line_info=plan.info,
         )
-        self._push(t + restart, "resume", plan)
+        self._push(t + restart, "call", partial(self._resume, plan))
 
-    def _resume(self, t: float, plan) -> None:
+    def _resume(self, plan, t: float) -> None:
         for inst, idx in plan.line.items():
             cp = self.store.get(inst, idx)
             spec = self.graph.ops[inst[0]]
@@ -510,7 +507,6 @@ class Simulation:
                     seq=seq,
                     record=rec,
                     payload_bytes=payload_bytes_for(rec),
-                    send_ts=t,
                 )
                 k += 1
                 self._push(t + self.cost.channel_latency + k * 1e-7, "arrive", msg)
@@ -519,14 +515,12 @@ class Simulation:
 
     # ------------------------------------------------------------------ sink
     def _sink_arrive(self, t: float, msg: Message) -> None:
-        snk = self.sinks[msg.channel[2]]
+        results = self.sink_results[msg.channel[2]]
         rec = msg.record
-        if rec.uid in snk.results:
+        if rec.uid in results:
             self.n_dup_sink += 1
-            snk.arrivals.append((t, rec.ingest_ts, rec.uid))
             return
-        snk._now = t
-        snk.process(rec, msg.channel[0])
+        results[rec.uid] = rec.value
         self.telemetry.latencies.append((t, rec.ingest_ts))
         self.telemetry.n_sinked += 1
 
@@ -550,7 +544,7 @@ class Simulation:
             self._schedule_source_records(inst, 0.0)
         self.protocol.on_start()
         if fail_at is not None:
-            self._push(fail_at, "fail", None, epoch_exempt=True)
+            self._push(fail_at, "call", self._fail, epoch_exempt=True)
 
         pops = 0
         heap = self.heap
@@ -579,19 +573,8 @@ class Simulation:
                 self._dispatch(w, t)
             elif kind == "sink":
                 self._sink_arrive(t, data)
-            elif kind == "kick":
-                self._dispatch(data, t)
-            elif kind == "call":
+            else:  # "call"
                 data(t)
-            elif kind == "fail":
-                if not self.failed:
-                    self._fail(t)
-            elif kind == "detect":
-                self._detect(t)
-            elif kind == "resume":
-                self._resume(t, data)
-            else:  # pragma: no cover
-                raise AssertionError(kind)
 
         fingerprints = {
             inst: op.state_fingerprint()
@@ -600,7 +583,7 @@ class Simulation:
         }
         return SimResult(
             telemetry=self.telemetry,
-            sink_results={name: dict(s.results) for name, s in self.sinks.items()},
+            sink_results=self.sink_results,
             duration=self.now,
             n_dedup_drops=self.n_dedup_drops,
             n_duplicate_sink_arrivals=self.n_dup_sink,

@@ -5,14 +5,9 @@ recovery-line algorithm needs) are kept in a store that survives simulated
 worker failures. Persistence cost is *modelled* (serialize + upload time in
 ``SimCost``), not re-measured, because absolute storage bandwidth is a
 testbed property, not a protocol property.
-
-The store can optionally spill snapshots to a local directory (pickle) so a
-job run leaves an inspectable artefact; tests run fully in memory.
 """
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,28 +45,16 @@ class StoredCheckpoint:
 class CheckpointStore:
     """Durable store of checkpoints, keyed by instance, ordered by index."""
 
-    def __init__(self, spill_dir: Optional[str] = None):
+    def __init__(self):
         self._by_instance: Dict[InstanceId, List[StoredCheckpoint]] = {}
-        self.spill_dir = spill_dir
-        if spill_dir:
-            os.makedirs(spill_dir, exist_ok=True)
 
     def put(self, cp: StoredCheckpoint) -> None:
         lst = self._by_instance.setdefault(cp.meta.instance, [])
         assert cp.meta.index == len(lst), "checkpoint indices must be dense"
         lst.append(cp)
-        if self.spill_dir:
-            op, idx = cp.meta.instance
-            path = os.path.join(self.spill_dir, f"{op}-{idx}-{cp.meta.index}.pkl")
-            with open(path, "wb") as f:
-                pickle.dump({"meta": cp.meta, "state": cp.state}, f)
 
     def checkpoints(self, inst: InstanceId) -> List[StoredCheckpoint]:
         return self._by_instance.get(inst, [])
-
-    def latest(self, inst: InstanceId) -> Optional[StoredCheckpoint]:
-        lst = self._by_instance.get(inst)
-        return lst[-1] if lst else None
 
     def get(self, inst: InstanceId, index: int) -> StoredCheckpoint:
         return self._by_instance[inst][index]
@@ -115,6 +98,3 @@ class MessageLog:
 
     def total_logged(self) -> int:
         return sum(len(v) for v in self._log.values())
-
-    def channels(self) -> List[Channel]:
-        return sorted(self._log.keys())

@@ -1,9 +1,10 @@
 """Telemetry collected during a simulation run.
 
 One run produces small pandas frames (checkpoints, rounds, recovery) plus
-aggregate byte counters and the sink latency log. The Spark analytics in
-:mod:`repro.analytics` consume these frames; keeping per-message data as
-counters (not rows) bounds memory at 50-worker scale.
+aggregate byte counters and the sink latency log, which
+:func:`repro.core.harness.metrics_row` flattens into one metrics row.
+Keeping per-message data as counters (not rows) bounds memory at 50-worker
+scale.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ class Telemetry:
     proto_msg_bytes: int = 0  #: standalone protocol messages (UNC ckpt meta)
     n_data_msgs: int = 0
     n_marker_msgs: int = 0
-    n_proto_msgs: int = 0
 
     # checkpoints: one row per snapshot
     checkpoints: List[dict] = field(default_factory=list)
@@ -77,9 +77,6 @@ class Telemetry:
         cols = ["round_id", "start", "end", "duration", "n_snapshots"]
         return pd.DataFrame(self.rounds, columns=cols)
 
-    def latency_frame(self) -> pd.DataFrame:
-        return pd.DataFrame(self.latencies, columns=["sink_ts", "ingest_ts"])
-
     def total_message_bytes(self) -> int:
         return (
             self.data_payload_bytes
@@ -87,6 +84,3 @@ class Telemetry:
             + self.marker_bytes
             + self.proto_msg_bytes
         )
-
-    def protocol_overhead_bytes(self) -> int:
-        return self.piggyback_bytes + self.marker_bytes + self.proto_msg_bytes

@@ -12,7 +12,6 @@ to be loaded into a :class:`ReplayableLog`, and as pandas frames (via
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np

@@ -13,7 +13,7 @@ requirement).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession

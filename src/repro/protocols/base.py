@@ -9,7 +9,7 @@ paper's Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.dataflow.messages import Channel, InstanceId, Message
 
@@ -59,7 +59,6 @@ class Protocol:
         "unused_checkpoints": False,
         "forced_checkpoints": False,
     }
-    coordinated = False
     supports_cycles = True
 
     def __init__(self):

@@ -29,7 +29,7 @@ and N = K*W instances — the streaming adaptation discussed in DESIGN.md.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.dataflow.messages import InstanceId, Kind, Message
 

@@ -10,18 +10,17 @@ replay and no recovery-line search.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set
 
 from repro.dataflow.messages import Channel, InstanceId, Message
 
-from .base import Protocol, RecoveryPlan, UnsupportedTopologyError
+from .base import Protocol, RecoveryPlan
 
 
 class CoordinatedProtocol(Protocol):
     """COOR: coordinated aligned checkpoints."""
 
     name = "COOR"
-    coordinated = True
     supports_cycles = False
     features = {
         "blocking_markers": True,

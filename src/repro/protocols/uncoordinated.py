@@ -31,7 +31,6 @@ class UncoordinatedProtocol(Protocol):
     """UNC: independent checkpoints + message logging + rollback propagation."""
 
     name = "UNC"
-    coordinated = False
     supports_cycles = True
     features = {
         "blocking_markers": False,

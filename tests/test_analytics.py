@@ -1,59 +1,110 @@
-"""Oracle checks for the Spark SQL telemetry analytics."""
-import numpy as np
+"""Oracle checks for the analytics: the Spark SQL table aggregations and
+the latency and recovery metrics of ``harness.metrics_row``."""
+import math
+
+import duckdb
 import pandas as pd
 import pytest
 
-from helpers import run_query
-from repro.analytics.checkpoints import (
-    CKPT_TIME_SQL,
-    INVALID_SQL,
-    checkpoint_times,
-    invalid_summary,
-)
-from repro.analytics.latency import (
-    PERCENTILES_SQL,
-    percentiles_per_second,
-    steady_percentiles,
-    steady_sql,
-)
+from helpers import W, run_query
+from repro.analytics.checkpoints import INVALID_SQL, invalid_summary
 from repro.analytics.overhead import OVERHEAD_SQL, overhead_ratios
-from repro.analytics.recovery_stats import RESTART_SQL, restart_summary, recovery_seconds
+from repro.core.config import ExperimentConfig
+from repro.core.harness import WARMUP, metrics_row, recovered_threshold
 from repro.oracle import assert_equivalent
 
+#: per-window latency percentiles over a table ``lat(sink_ts, ingest_ts)``;
+#: parameters: warmup end, failure time (twice), resume time
+WINDOW_SQL = """
+SELECT
+  (SELECT quantile_cont(sink_ts - ingest_ts, 0.5) FROM lat
+    WHERE sink_ts >= ? AND sink_ts < ?) AS p50_pre,
+  (SELECT quantile_cont(sink_ts - ingest_ts, 0.99) FROM lat
+    WHERE sink_ts >= ? AND sink_ts < ?) AS p99_pre,
+  (SELECT quantile_cont(sink_ts - ingest_ts, 0.5) FROM lat
+    WHERE sink_ts >= ?) AS p50_post
+"""
 
-@pytest.fixture(scope="module")
-def lat_frame():
-    res = run_query("q12", "UNC", fail_at=6.0)
-    return res.telemetry.latency_frame()
+#: first whole second after resume whose median latency is back under the
+#: threshold, measured from the failure; parameters: resume time,
+#: threshold, failure time
+RECOVERY_SQL = """
+SELECT min(sec) + 1 - ? AS recovery_time FROM (
+  SELECT floor(sink_ts) AS sec, median(sink_ts - ingest_ts) AS p50
+  FROM lat WHERE sink_ts >= ? GROUP BY floor(sink_ts)
+) WHERE p50 <= ?
+"""
+
+#: q12 UNC runs with a failure at 6 s: the short one never returns to its
+#: pre-failure latency, the long one does
+RUNS = {
+    "short": dict(fail_at=6.0),
+    "long": dict(fail_at=6.0, duration=25.0, rate=200.0),
+}
+
+
+def unc_row(run: str):
+    kw = RUNS[run]
+    res = run_query("q12", "UNC", **kw)
+    cfg = ExperimentConfig(
+        query="q12", protocol="UNC", workers=W, rate=kw.get("rate", 400.0),
+        duration=kw.get("duration", 10.0), fail_at=kw["fail_at"], seed=1,
+    )
+    return metrics_row(cfg, res, float("nan")), res
+
+
+def duckdb_latency(res, fail_at: float):
+    lat = pd.DataFrame(res.telemetry.latencies, columns=["sink_ts", "ingest_ts"])
+    t_resume = res.telemetry.recovery["t_resume"]
+    warm = min(WARMUP, fail_at / 2)
+    con = duckdb.connect()
+    try:
+        con.register("lat", lat)
+        p50_pre, p99_pre, p50_post = con.execute(
+            WINDOW_SQL, [warm, fail_at, warm, fail_at, t_resume]
+        ).fetchone()
+        (rt,) = con.execute(
+            RECOVERY_SQL, [fail_at, t_resume, recovered_threshold(p50_pre)]
+        ).fetchone()
+    finally:
+        con.close()
+    return dict(p50_pre=p50_pre, p99_pre=p99_pre, p50_post=p50_post,
+                recovery_time=float("nan") if rt is None else float(rt))
 
 
 @pytest.fixture(scope="module")
 def metrics_frame():
     rows = [
         dict(query="q1", workers=10, protocol="none", total_bytes=1000, data_bytes=1000,
-             ckpt_total=0, invalid=0, restart_time=float("nan"), n_replay=0),
+             ckpt_total=0, invalid=0),
         dict(query="q1", workers=10, protocol="COOR", total_bytes=1010, data_bytes=1000,
-             ckpt_total=240, invalid=0, restart_time=0.25, n_replay=0),
+             ckpt_total=240, invalid=0),
         dict(query="q1", workers=10, protocol="UNC", total_bytes=1005, data_bytes=1000,
-             ckpt_total=303, invalid=3, restart_time=0.4, n_replay=100),
+             ckpt_total=303, invalid=3),
         dict(query="q1", workers=10, protocol="CIC", total_bytes=2100, data_bytes=1000,
-             ckpt_total=285, invalid=5, restart_time=0.5, n_replay=90),
+             ckpt_total=285, invalid=5),
     ]
     return pd.DataFrame(rows)
 
 
-class TestLatencyAnalytics:
-    def test_percentiles_match_duckdb(self, spark, lat_frame):
-        got = percentiles_per_second(spark, lat_frame)
-        assert_equivalent(got, PERCENTILES_SQL, lat=lat_frame)
+class TestLatencyMetrics:
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_match_duckdb(self, run):
+        row, res = unc_row(run)
+        want = duckdb_latency(res, RUNS[run]["fail_at"])
+        for col, v in want.items():
+            if math.isnan(v):
+                assert math.isnan(row[col]), col
+            else:
+                assert row[col] == pytest.approx(v, rel=1e-12), col
 
-    def test_steady_percentiles_match_duckdb(self, spark, lat_frame):
-        got = steady_percentiles(spark, lat_frame, 2.0, 6.0)
-        assert_equivalent(got, steady_sql(2.0, 6.0), lat=lat_frame)
+    def test_failure_visible_in_row(self):
+        row, _ = unc_row("short")
+        assert row["p50_post"] > 10 * row["p99_pre"]
 
-    def test_failure_visible_in_series(self, spark, lat_frame):
-        pdf = percentiles_per_second(spark, lat_frame).toPandas().set_index("sec")
-        assert pdf["p99"].max() > 10 * pdf.loc[:5, "p99"].median()
+    def test_recovery_time_finite_for_long_run(self):
+        row, _ = unc_row("long")
+        assert math.isfinite(row["recovery_time"]) and row["recovery_time"] > 0
 
 
 class TestOverheadAnalytics:
@@ -73,23 +124,3 @@ class TestCheckpointAnalytics:
         got = invalid_summary(spark, metrics_frame)
         assert_equivalent(got, INVALID_SQL, metrics=metrics_frame)
 
-    def test_checkpoint_times_match_duckdb(self, spark):
-        res = run_query("q12", "UNC", fail_at=None)
-        cf = res.telemetry.checkpoints_frame().drop(columns=["round_id"])
-        got = checkpoint_times(spark, cf)
-        assert_equivalent(got, CKPT_TIME_SQL, ckpts=cf)
-
-
-class TestRecoveryAnalytics:
-    def test_restart_summary_matches_duckdb(self, spark, metrics_frame):
-        got = restart_summary(spark, metrics_frame)
-        assert_equivalent(got, RESTART_SQL, metrics=metrics_frame)
-
-    def test_recovery_seconds_finite_for_long_run(self, spark):
-        res = run_query("q12", "UNC", fail_at=6.0, duration=25.0, rate=200.0)
-        rec = res.telemetry.recovery
-        lat = res.telemetry.latency_frame()
-        pre = lat[(lat.sink_ts > 2) & (lat.sink_ts < 6)]
-        base = float(np.median(pre.sink_ts - pre.ingest_ts))
-        t = recovery_seconds(spark, lat, rec["t_fail"], rec["t_resume"], base)
-        assert np.isfinite(t) and t > 0

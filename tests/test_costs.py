@@ -30,6 +30,15 @@ class TestSimCost:
         c = SimCost()
         assert c.snapshot_time(10_000_000) > c.snapshot_time(0) > 0
 
-    def test_restore_time_linear(self):
+    def test_restart_time_linear_in_each_input(self):
         c = SimCost()
-        assert c.restore_time(2000) == pytest.approx(2 * c.restore_time(1000))
+        assert c.restart_time(0, 0, 0) == c.restart_base
+        for args, rate in [
+            ((1000, 0, 0), c.restore_per_byte),
+            ((0, 1000, 0), c.replay_prep_per_msg),
+            ((0, 0, 1000), c.recovery_line_per_ckpt),
+        ]:
+            assert c.restart_time(*args) - c.restart_base == pytest.approx(1000 * rate)
+        assert c.restart_time(2000, 20, 4) - c.restart_base == pytest.approx(
+            2 * (c.restart_time(1000, 10, 2) - c.restart_base)
+        )

@@ -82,14 +82,6 @@ class TestCycles:
     def test_reachability_cyclic(self):
         assert reachability_graph().has_cycle()
 
-    def test_topo_depth_chain(self):
-        d = chain().topo_depth()
-        assert d["src"] == 0 and d["map"] == 1 and d["sink"] == 2
-
-    def test_topo_depth_ignores_loop_edge(self):
-        d = reachability_graph().topo_depth()
-        assert d["cjoin"] < d["select"] < d["project"]
-
 
 class TestRouting:
     def test_forward_routes_to_same_index(self):
@@ -118,21 +110,3 @@ class TestRouting:
         assert e.route(_rec(value={"op": "del_source"}), 0, 3) == [0, 1, 2]
         assert len(e.route(_rec(value={"op": "source"}, key=1), 0, 3)) == 1
 
-
-class TestCheckpointingOps:
-    def test_coordinated_includes_stateless(self):
-        g = QUERIES["q1"]()
-        assert set(g.checkpointing_ops(True)) == {"src_bids", "map"}
-
-    def test_uncoordinated_excludes_stateless_nonsource(self):
-        g = QUERIES["q1"]()
-        assert set(g.checkpointing_ops(False)) == {"src_bids"}
-
-    def test_uncoordinated_includes_stateful(self):
-        g = QUERIES["q3"]()
-        assert "join" in g.checkpointing_ops(False)
-        assert "filter_p" not in g.checkpointing_ops(False)
-
-    def test_sink_never_checkpoints(self):
-        for coord in (True, False):
-            assert "sink" not in QUERIES["q12"]().checkpointing_ops(coord)

@@ -1,11 +1,9 @@
 """Unit tests for the replayable log (Kafka substitute) and the durable
 checkpoint / message-log stores (Minio substitute)."""
-import os
-
 import pytest
 
 from repro.dataflow.kafka_sim import ReplayableLog, SourceCursor
-from repro.dataflow.messages import Record
+from repro.dataflow.messages import Record, stable_hash
 from repro.dataflow.state import (
     CheckpointMeta,
     CheckpointStore,
@@ -24,26 +22,20 @@ def recs(n):
 class TestReplayableLog:
     def test_round_robin_partitioning(self):
         log = ReplayableLog.from_records("t", recs(10), 3)
-        assert [log.size(p) for p in range(3)] == [4, 3, 3]
+        assert [len(part) for part in log.partitions] == [4, 3, 3]
 
     def test_partitions_time_ordered(self):
         log = ReplayableLog.from_records("t", recs(10), 3)
-        for p in range(3):
-            ts = [log.read(p, i).ingest_ts for i in range(log.size(p))]
+        for part in log.partitions:
+            ts = [r.ingest_ts for r in part]
             assert ts == sorted(ts)
 
     def test_key_partitioning_groups_keys(self):
         rs = recs(20)
         log = ReplayableLog.from_records("t", rs, 4, partition_by_key=True)
-        for p in range(4):
-            for i in range(log.size(p)):
-                r = log.read(p, i)
-                from repro.dataflow.messages import stable_hash
+        for p, part in enumerate(log.partitions):
+            for r in part:
                 assert stable_hash(r.key) % 4 == p
-
-    def test_read_past_end_is_none(self):
-        log = ReplayableLog.from_records("t", recs(2), 1)
-        assert log.read(0, 99) is None
 
     def test_total_events(self):
         assert ReplayableLog.from_records("t", recs(7), 2).total_events() == 7
@@ -53,29 +45,20 @@ class TestSourceCursor:
     def test_replay_same_suffix_after_restore(self):
         log = ReplayableLog.from_records("t", recs(6), 1)
         cur = SourceCursor(log, 0)
-        seen1 = []
         for _ in range(3):
-            seen1.append(cur.peek().uid)
             cur.advance()
         snap = cur.snapshot()
 
         def drain3():
             out = []
             for _ in range(3):
-                out.append(cur.peek().uid)
+                out.append(cur.log.partitions[cur.partition][cur.offset].uid)
                 cur.advance()
             return out
 
         rest = drain3()
         cur.restore(snap)
-        assert drain3() == rest
-
-    def test_exhausted(self):
-        log = ReplayableLog.from_records("t", recs(1), 1)
-        cur = SourceCursor(log, 0)
-        assert not cur.exhausted()
-        cur.advance()
-        assert cur.exhausted()
+        assert drain3() == rest == ["r3", "r4", "r5"]
 
 
 def meta(inst, index, ts=0.0, last_sent=None, last_recv=None):
@@ -97,13 +80,6 @@ class TestCheckpointStore:
         with pytest.raises(AssertionError):
             st.put(StoredCheckpoint(meta(("a", 0), 5), None))
 
-    def test_latest(self):
-        st = CheckpointStore()
-        st.put(StoredCheckpoint(meta(("a", 0), 0), None))
-        st.put(StoredCheckpoint(meta(("a", 0), 1), None))
-        assert st.latest(("a", 0)).meta.index == 1
-        assert st.latest(("b", 0)) is None
-
     def test_counts(self):
         st = CheckpointStore()
         st.put(StoredCheckpoint(meta(("a", 0), 0), None))
@@ -111,12 +87,6 @@ class TestCheckpointStore:
         assert st.total_count() == 2
         assert st.counts_by_kind() == {"local": 2}
         assert st.instances() == [("a", 0), ("b", 1)]
-
-    def test_spill_to_disk(self, tmp_path):
-        st = CheckpointStore(spill_dir=str(tmp_path))
-        st.put(StoredCheckpoint(meta(("op", 2), 0), state={"k": 3}))
-        files = os.listdir(tmp_path)
-        assert files == ["op-2-0.pkl"]
 
 
 class TestMessageLog:
@@ -137,9 +107,8 @@ class TestMessageLog:
             ml.append(ch, s, s * 10)
         assert [r for _, r in ml.replay_range(ch, 0, 4)] == [10, 20, 30, 40]
 
-    def test_total_and_channels(self):
+    def test_total_logged(self):
         ml = MessageLog()
         ml.append(("a", 0, "b", 0), 1, "x")
         ml.append(("a", 0, "c", 0), 1, "y")
         assert ml.total_logged() == 2
-        assert len(ml.channels()) == 2

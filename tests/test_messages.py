@@ -33,21 +33,6 @@ class TestStableHash:
         assert stable_hash(1) != stable_hash("1")
 
 
-class TestRecord:
-    def test_derive_inherits_ingest_ts(self):
-        r = _rec(ts=3.5)
-        d = r.derive("m", key=2, value={"x": 1}, kind="bid_eur")
-        assert d.ingest_ts == 3.5
-
-    def test_derive_uid_suffix(self):
-        d = _rec(uid="bid7").derive("m", 1, {}, "bid_eur")
-        assert d.uid == "bid7/m"
-
-    def test_derive_sets_kind_and_key(self):
-        d = _rec().derive("m", key=9, value={"v": 2}, kind="q12_out")
-        assert d.kind == "q12_out" and d.key == 9 and d.value == {"v": 2}
-
-
 class TestPayloadBytes:
     def test_known_kind(self):
         assert payload_bytes_for(_rec("bid")) == PAYLOAD_BYTES["bid"]
@@ -77,13 +62,6 @@ class TestMessage:
             payload_bytes=22,
             proto_bytes=proto,
         )
-
-    def test_total_bytes(self):
-        assert self._msg(proto=10).total_bytes == 32
-
-    def test_src_dst(self):
-        m = self._msg()
-        assert m.src == ("a", 0) and m.dst == ("b", 1)
 
     def test_marker_and_meta_sizes_positive(self):
         assert MARKER_BYTES > 0 and CKPT_META_BYTES > 0

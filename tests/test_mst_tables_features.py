@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.core.features import PAPER_TABLE1, feature_matrix, render_table1
-from repro.core.mst import measure_mst, rate_at_fraction
+from repro.core.mst import measure_mst
 from repro.core.tables import (
     PAPER_TABLE2,
     PAPER_TABLE3,
@@ -31,11 +31,6 @@ class TestMST:
 
     def test_coor_close_to_checkpoint_free(self):
         assert measure_mst("q12", "COOR", 4) > 0.9 * measure_mst("q12", "none", 4)
-
-    def test_rate_at_fraction(self):
-        assert rate_at_fraction("q1", "none", 2, 0.5) == pytest.approx(
-            0.5 * measure_mst("q1", "none", 2)
-        )
 
 
 class TestTable1:

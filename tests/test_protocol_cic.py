@@ -72,7 +72,7 @@ class TestForcedCheckpoints:
         before = len(sim.store.checkpoints(inst))
         proto.before_process(0.5, inst, msg)
         assert len(sim.store.checkpoints(inst)) == before + 1
-        assert sim.store.latest(inst).meta.kind == "forced"
+        assert sim.store.checkpoints(inst)[-1].meta.kind == "forced"
 
     def test_no_force_without_condition(self):
         sim = cic_sim("q12")
