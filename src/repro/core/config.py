@@ -58,7 +58,6 @@ class ExperimentConfig:
     n_hot: int = 1
     seed: int = 7
     coor_interval: float = COOR_INTERVAL
-    unc_interval: Optional[float] = None  #: None -> UNC_INTERVALS[query]
     n_nodes: int = 1_000_000  #: cyclic query node-set size (paper: 1M static nodes)
     deletions: bool = True  #: cyclic query delete events on/off
 
@@ -71,7 +70,7 @@ class ExperimentConfig:
 
 
 def make_protocol(cfg: ExperimentConfig):
-    interval = cfg.unc_interval or UNC_INTERVALS.get(cfg.query, 4.0)
+    interval = UNC_INTERVALS.get(cfg.query, 4.0)
     if cfg.protocol == "none":
         return NoneProtocol()
     if cfg.protocol == "COOR":

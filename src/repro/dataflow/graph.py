@@ -7,12 +7,12 @@ operators and edges; instance fan-out happens in the simulator.
 
 Routing on an edge is one of:
 
-- ``forward``  — instance i sends to instance i of the downstream operator
+- ``forward`` — instance i sends to instance i of the downstream operator
   (chain pipelines, no shuffle; NexMark Q1).
-- ``hash``     — key-hash partitioning across all downstream instances
-  (shuffles; joins/aggregations).
-- ``broadcast``— send to every downstream instance (not used by data in the
-  reproduced queries, but markers always broadcast on hash edges).
+- ``hash``    — key-hash partitioning across all downstream instances
+  (shuffles; joins/aggregations). COOR markers go to every downstream
+  instance of a hash edge, and ``Edge.broadcast_pred`` may send single
+  records to all of them.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ class Edge:
 
     src: str
     dst: str
-    routing: str = "hash"  #: "forward" | "hash" | "broadcast"
+    routing: str = "hash"  #: "forward" | "hash"
     key_fn: Optional[Callable[[Any], Any]] = None  #: routing key for "hash"
     loop: bool = False  #: True for the cyclic query's feedback edge
     #: per-record broadcast override (e.g. the cyclic query's del_source
@@ -42,8 +42,6 @@ class Edge:
             return list(range(n_workers))
         if self.routing == "forward":
             return [src_idx]
-        if self.routing == "broadcast":
-            return list(range(n_workers))
         key = self.key_fn(record) if self.key_fn else record.key
         return [stable_hash(key) % n_workers]
 
@@ -63,7 +61,6 @@ class OperatorSpec:
     kind: str  #: "source" | "sink" | operator type tag
     stateful: bool
     factory: Callable[[int, int], Any] = None
-    service_time: Optional[float] = None  #: per-record CPU seconds override
     source_topic: Optional[str] = None  #: kafka_sim topic for sources
 
     @property
@@ -93,6 +90,11 @@ class LogicalGraph:
             raise ValueError(f"edge {edge.src}->{edge.dst} references unknown operator")
         if self.ops[edge.dst].is_source:
             raise ValueError("sources cannot have inbound edges")
+        if edge.routing not in ("forward", "hash"):
+            raise ValueError(
+                f"edge {edge.src}->{edge.dst}: routing must be 'forward' or 'hash', "
+                f"not {edge.routing!r}"
+            )
         self.edges.append(edge)
         return self
 

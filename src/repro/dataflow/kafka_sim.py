@@ -23,23 +23,15 @@ class ReplayableLog:
     partitions: List[List[Record]] = field(default_factory=list)
 
     @classmethod
-    def from_records(cls, topic: str, records: List[Record], n_partitions: int,
-                     partition_by_key: bool = False) -> "ReplayableLog":
-        """Distribute pre-generated records over partitions.
+    def from_records(cls, topic: str, records: List[Record], n_partitions: int) -> "ReplayableLog":
+        """Distribute pre-generated records over partitions round-robin.
 
         Records must already be in ingest-time order; round-robin keeps each
-        partition time-ordered. ``partition_by_key`` routes by key hash
-        instead (used when a source must be key-partitioned).
+        partition time-ordered.
         """
         parts: List[List[Record]] = [[] for _ in range(n_partitions)]
-        if partition_by_key:
-            from .messages import stable_hash
-
-            for r in records:
-                parts[stable_hash(r.key) % n_partitions].append(r)
-        else:
-            for i, r in enumerate(records):
-                parts[i % n_partitions].append(r)
+        for i, r in enumerate(records):
+            parts[i % n_partitions].append(r)
         return cls(topic=topic, partitions=parts)
 
     @property

@@ -149,7 +149,7 @@ class Simulation:
                     ch = (e.src, i, e.dst, i)
                     self.out_channels[(e.src, i)].append(ch)
                     self.in_channels[(e.dst, i)].append(ch)
-                else:  # hash / broadcast
+                else:  # hash
                     for j in range(n_workers):
                         ch = (e.src, i, e.dst, j)
                         self.out_channels[(e.src, i)].append(ch)
@@ -321,7 +321,7 @@ class Simulation:
         if ch[0] == _SRC:
             self.cursors[inst].advance()
             self.telemetry.n_source_emitted += 1
-            service = spec.service_time or cost.op_service("source")
+            service = cost.op_service("source")
             self._emit(t, inst, msg.record)
         elif msg.kind == Kind.MARKER:
             service = cost.op_service("marker")
@@ -336,14 +336,13 @@ class Simulation:
             extra = self.protocol.before_process(t, inst, msg)
             self._extra_service += extra
             self.recv_seq[ch] = msg.seq
-            service = spec.service_time or cost.op_service(spec.kind)
+            service = cost.op_service(spec.kind)
             service += cost.serialize_per_byte * msg.proto_bytes
             for rec in self.instances[inst].process(msg.record, ch[0]):
                 self._emit(t, inst, rec)
 
         send_cost = sum(cost.serialize_per_byte * m.proto_bytes for m in self._outbox)
         dur = service + self._extra_service + send_cost
-        self.current[w] = self._outbox
         self._outbox = None
         return dur
 
@@ -374,8 +373,6 @@ class Simulation:
         Markers do not consume data sequence numbers; channel-FIFO relative
         to data holds because arrival times are monotone in send times.
         """
-        op, idx = inst
-        box = self._outbox if self._outbox is not None else []
         for ch in self.out_channels[inst]:
             if ch[2] in self.sink_ops:
                 continue
@@ -390,12 +387,7 @@ class Simulation:
             msg.meta["round"] = round_id
             self.telemetry.n_marker_msgs += 1
             self.telemetry.marker_bytes += MARKER_BYTES
-            box.append(msg)
-        if self._outbox is None:
-            # marker emitted outside a dispatch (source round start):
-            # deliver after the marker service time from now
-            for m in box:
-                self._push(self.now + self.cost.channel_latency, "arrive", m)
+            self._outbox.append(msg)
 
     # ----------------------------------------------------------- checkpoints
     def _store_checkpoint(

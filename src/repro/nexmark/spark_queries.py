@@ -19,6 +19,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from .generator import Q3_CATEGORY, Q3_STATES
 from .queries import EUR_RATE, WINDOW_SECONDS
 
 # ---------------------------------------------------------------------------
@@ -52,16 +53,16 @@ def sim_q1_frame(sink_values: Dict[str, dict]) -> pd.DataFrame:
 # Q3 — incremental join of filtered persons with auctions
 # ---------------------------------------------------------------------------
 
-Q3_SQL = """
+Q3_SQL = f"""
 SELECT p.name, p.city, p.state, a.id AS auction
 FROM persons p JOIN auctions a ON p.id = a.seller
-WHERE p.state IN ('OR', 'ID', 'CA') AND a.category = 10
+WHERE p.state IN ({", ".join(f"'{s}'" for s in Q3_STATES)}) AND a.category = {Q3_CATEGORY}
 """
 
 
 def q3_batch(spark: SparkSession, persons: pd.DataFrame, auctions: pd.DataFrame) -> DataFrame:
-    p = spark.createDataFrame(persons).where(F.col("state").isin("OR", "ID", "CA"))
-    a = spark.createDataFrame(auctions).where(F.col("category") == 10)
+    p = spark.createDataFrame(persons).where(F.col("state").isin(*Q3_STATES))
+    a = spark.createDataFrame(auctions).where(F.col("category") == Q3_CATEGORY)
     return p.join(a, p["id"] == a["seller"]).select(
         p["name"], p["city"], p["state"], a["id"].alias("auction")
     )

@@ -106,9 +106,7 @@ class UncoordinatedProtocol(Protocol):
     def plan_recovery(self, t_detect: float) -> RecoveryPlan:
         sim = self.sim
         instances = list(sim.instances.keys())
-        line, invalid_all, scanned = find_recovery_line(
-            sim.store, instances, sim.out_channels
-        )
+        line = find_recovery_line(sim.store, instances, sim.out_channels)
         # Table III counts only source/stateful checkpoints
         invalid = sum(
             (len(sim.store.checkpoints(i)) - 1) - line[i]
@@ -133,6 +131,5 @@ class UncoordinatedProtocol(Protocol):
             line=line,
             replay=replay,
             invalid=invalid,
-            ckpts_scanned=scanned,
-            info={"invalid_all_instances": invalid_all},
+            ckpts_scanned=sum(len(sim.store.checkpoints(i)) for i in instances),
         )

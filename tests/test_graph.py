@@ -39,6 +39,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="sources cannot"):
             chain().add_edge(Edge("map", "src"))
 
+    @pytest.mark.parametrize("routing", ["forwad", "broadcast", ""])
+    def test_unknown_routing_rejected(self, routing):
+        g = chain()
+        with pytest.raises(ValueError, match=f"edge src->map: routing .* not {routing!r}"):
+            g.add_edge(Edge("src", "map", routing=routing))
+        assert len(g.edges) == 2
+
     def test_no_source_rejected(self):
         g = LogicalGraph()
         g.add_op(OperatorSpec("sink", "sink", stateful=False))
@@ -87,10 +94,6 @@ class TestRouting:
     def test_forward_routes_to_same_index(self):
         e = Edge("a", "b", routing="forward")
         assert e.route(_rec(), 3, 8) == [3]
-
-    def test_broadcast_routes_everywhere(self):
-        e = Edge("a", "b", routing="broadcast")
-        assert e.route(_rec(), 0, 5) == [0, 1, 2, 3, 4]
 
     def test_hash_uses_record_key_by_default(self):
         e = Edge("a", "b", routing="hash")

@@ -3,7 +3,7 @@ checkpoint / message-log stores (Minio substitute)."""
 import pytest
 
 from repro.dataflow.kafka_sim import ReplayableLog, SourceCursor
-from repro.dataflow.messages import Record, stable_hash
+from repro.dataflow.messages import Record
 from repro.dataflow.state import (
     CheckpointMeta,
     CheckpointStore,
@@ -29,13 +29,6 @@ class TestReplayableLog:
         for part in log.partitions:
             ts = [r.ingest_ts for r in part]
             assert ts == sorted(ts)
-
-    def test_key_partitioning_groups_keys(self):
-        rs = recs(20)
-        log = ReplayableLog.from_records("t", rs, 4, partition_by_key=True)
-        for p, part in enumerate(log.partitions):
-            for r in part:
-                assert stable_hash(r.key) % 4 == p
 
     def test_total_events(self):
         assert ReplayableLog.from_records("t", recs(7), 2).total_events() == 7

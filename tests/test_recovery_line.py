@@ -1,17 +1,14 @@
-"""Unit + property tests for the checkpoint graph and rollback propagation
-(paper §III-B, Algorithm 1)."""
-from typing import Dict, List
+"""Unit + property tests for the recovery line of rollback propagation
+(paper §III-B, Algorithm 1), checked against a brute-force oracle."""
+import itertools
+from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.state import CheckpointMeta, CheckpointStore, StoredCheckpoint
-from repro.protocols.recovery import (
-    build_checkpoint_graph,
-    find_recovery_line,
-    rollback_propagation,
-)
+from repro.protocols.recovery import find_recovery_line
 
 
 class Builder:
@@ -50,38 +47,54 @@ class Builder:
     def line(self):
         return find_recovery_line(self.store, self.insts, self.out)
 
+    def consistent(self, line) -> bool:
+        """No orphan message on any channel across ``line`` (Def. 5)."""
+        return all(
+            self.store.get((ch[2], 0), line[(ch[2], 0)]).meta.last_recv[ch]
+            <= self.store.get((ch[0], 0), line[(ch[0], 0)]).meta.last_sent[ch]
+            for ch in self.channels
+        )
+
+    def maximal_line(self):
+        """Brute force over every index vector: the componentwise maximum
+        of all consistent lines."""
+        ranges = [range(len(self.store.checkpoints(i))) for i in self.insts]
+        lines = [dict(zip(self.insts, v)) for v in itertools.product(*ranges)]
+        lines = [line for line in lines if self.consistent(line)]
+        best = {i: max(line[i] for line in lines) for i in self.insts}
+        assert self.consistent(best)  # consistent lines are closed under max
+        return best
+
 
 class TestSimpleScenarios:
     def test_no_traffic_latest_line(self):
         b = Builder(["A", "B"], [("A", "B")])
         b.checkpoint("A"); b.checkpoint("B")
-        line, invalid, scanned = b.line()
+        line = b.line()
         assert line == {("A", 0): 1, ("B", 0): 1}
-        assert invalid == 0 and scanned == 4
 
     def test_clean_cut_latest_line(self):
         b = Builder(["A", "B"], [("A", "B")])
         b.send("A", "B", 5); b.deliver("A", "B", 5)
         b.checkpoint("A"); b.checkpoint("B")
-        line, invalid, _ = b.line()
-        assert line == {("A", 0): 1, ("B", 0): 1} and invalid == 0
+        line = b.line()
+        assert line == {("A", 0): 1, ("B", 0): 1}
 
     def test_orphan_rolls_receiver_back(self):
         b = Builder(["A", "B"], [("A", "B")])
         b.checkpoint("A")        # A ckpt1: sent=0
         b.send("A", "B", 3); b.deliver("A", "B", 3)
         b.checkpoint("B")        # B ckpt1: recv=3 > A.ckpt1.sent=0 -> orphan
-        line, invalid, _ = b.line()
+        line = b.line()
         assert line == {("A", 0): 1, ("B", 0): 0}
-        assert invalid == 1
 
     def test_no_orphan_when_sender_checkpoints_after(self):
         b = Builder(["A", "B"], [("A", "B")])
         b.send("A", "B", 3); b.deliver("A", "B", 3)
         b.checkpoint("B")        # recv=3
         b.checkpoint("A")        # sent=3 >= recv -> consistent
-        line, invalid, _ = b.line()
-        assert line == {("A", 0): 1, ("B", 0): 1} and invalid == 0
+        line = b.line()
+        assert line == {("A", 0): 1, ("B", 0): 1}
 
     def test_domino_chain(self):
         b = Builder(["A", "B", "C"], [("A", "B"), ("B", "C")])
@@ -90,9 +103,8 @@ class TestSimpleScenarios:
         b.checkpoint("B")  # orphan wrt A ckpt1 - but B->C also cascades:
         b.send("B", "C"); b.deliver("B", "C")
         b.checkpoint("C")  # orphan wrt B ckpt1
-        line, invalid, _ = b.line()
+        line = b.line()
         assert line == {("A", 0): 1, ("B", 0): 0, ("C", 0): 0}
-        assert invalid == 2
 
     def test_mutual_orphans_roll_both(self):
         b = Builder(["A", "B"], [("A", "B"), ("B", "A")])
@@ -101,82 +113,61 @@ class TestSimpleScenarios:
         b.checkpoint("B")
         b.send("B", "A"); b.deliver("B", "A")
         b.checkpoint("A")  # A ckpt2 saw B's post-ckpt... build z-pattern
-        line, invalid, _ = b.line()
-        # every checkpoint must be consistent across the returned line
-        for ch in b.channels:
-            a, bb = (ch[0], 0), (ch[2], 0)
-            sa = b.store.get(a, line[a]).meta.last_sent[ch]
-            rb = b.store.get(bb, line[bb]).meta.last_recv[ch]
-            assert rb <= sa
+        line = b.line()
+        assert line == {("A", 0): 1, ("B", 0): 0}
 
     def test_initial_checkpoints_always_fallback(self):
         b = Builder(["A", "B"], [("A", "B")])
         # traffic but no real checkpoints at all: line = initial everywhere
         b.send("A", "B", 4); b.deliver("A", "B", 4)
-        line, invalid, _ = b.line()
-        assert line == {("A", 0): 0, ("B", 0): 0} and invalid == 0
+        line = b.line()
+        assert line == {("A", 0): 0, ("B", 0): 0}
 
 
-class TestCheckpointGraph:
-    def test_consecutive_edges_present(self):
-        b = Builder(["A"], [])
-        b.checkpoint("A"); b.checkpoint("A")
-        adj = build_checkpoint_graph(b.store, b.insts, b.out)
-        assert (("A", 0), 1) in adj[(("A", 0), 0)]
-        assert (("A", 0), 2) in adj[(("A", 0), 1)]
-
-    def test_orphan_edge_targets_earliest(self):
-        b = Builder(["A", "B"], [("A", "B")])
-        b.checkpoint("A")  # A1 sent=0
-        b.send("A", "B", 2); b.deliver("A", "B", 2)
-        b.checkpoint("B")  # B1 recv=2
-        b.deliver("A", "B", 0)
-        b.checkpoint("B")  # B2 recv=2
-        adj = build_checkpoint_graph(b.store, b.insts, b.out)
-        assert (("B", 0), 1) in adj[(("A", 0), 1)]
-        assert (("B", 0), 2) not in adj[(("A", 0), 1)]
-
-    def test_no_edges_without_traffic(self):
-        b = Builder(["A", "B"], [("A", "B")])
-        b.checkpoint("A"); b.checkpoint("B")
-        adj = build_checkpoint_graph(b.store, b.insts, b.out)
-        assert all(dst[0] == ("A", 0) for dst in adj[(("A", 0), 0)])
+RING = (["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")])
+FAN_IN = (["A", "B", "C", "D"], [("A", "C"), ("B", "C"), ("C", "D")])
 
 
 @st.composite
-def execution(draw):
-    """Random consistent execution over a 3-operator ring."""
-    ops = ["A", "B", "C"]
-    channels = [("A", "B"), ("B", "C"), ("C", "A")]
+def execution(draw, topology):
+    """Random consistent execution over ``topology = (ops, channels)``."""
+    ops, channels = topology
     b = Builder(ops, channels)
-    steps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=60))
+    n = max(len(ops), len(channels))
+    steps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, n - 1)), max_size=60))
     for kind, which in steps:
-        if kind == 0:
-            a, c = channels[which]
-            b.send(a, c)
-        elif kind == 1:
-            a, c = channels[which]
-            b.deliver(a, c)
+        if kind == 2:
+            b.checkpoint(ops[which % len(ops)])
         else:
-            b.checkpoint(ops[which])
+            a, c = channels[which % len(channels)]
+            (b.send if kind == 0 else b.deliver)(a, c)
     return b
+
+
+def assert_maximal(b: Builder, line) -> None:
+    assert line == b.maximal_line()
 
 
 class TestRollbackPropagationProperties:
     @settings(max_examples=60, deadline=None)
-    @given(execution())
-    def test_line_is_consistent_and_maximal_enough(self, b):
-        line, invalid, scanned = b.line()
-        # 1. a valid index per instance
+    @given(execution(RING))
+    def test_ring_line_is_the_maximal_consistent_line(self, b):
+        assert_maximal(b, b.line())
+
+    @settings(max_examples=60, deadline=None)
+    @given(execution(FAN_IN))
+    def test_fan_in_line_is_the_maximal_consistent_line(self, b):
+        assert_maximal(b, b.line())
+
+    def test_oracle_rejects_a_line_one_step_lower(self):
+        # without traffic every line is consistent, so only the maximality
+        # half of the oracle can reject a lowered one
+        b = Builder(*FAN_IN)
+        for op in "ABCD":
+            b.checkpoint(op)
+        line = b.line()
         for inst in b.insts:
-            assert 0 <= line[inst] < len(b.store.checkpoints(inst))
-        # 2. no orphan across the line (Def. 5 "no orphans")
-        for ch in b.channels:
-            a, bb = (ch[0], 0), (ch[2], 0)
-            sa = b.store.get(a, line[a]).meta.last_sent[ch]
-            rb = b.store.get(bb, line[bb]).meta.last_recv[ch]
-            assert rb <= sa
-        # 3. invalid counts exactly the checkpoints above the line
-        assert invalid == sum(
-            (len(b.store.checkpoints(i)) - 1) - line[i] for i in b.insts
-        )
+            lowered = {**line, inst: line[inst] - 1}
+            assert b.consistent(lowered)
+            with pytest.raises(AssertionError):
+                assert_maximal(b, lowered)
