@@ -9,7 +9,7 @@ message-overhead metric (paper Table II).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Tuple
 
@@ -55,7 +55,7 @@ class Record:
     kind: str = "event"  #: workload-level type tag (e.g. "bid", "person")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A message in flight on a channel.
 
@@ -64,6 +64,9 @@ class Message:
     ``payload_bytes`` is the workload payload size; ``proto_bytes`` is
     protocol overhead riding on this message (marker size, CIC piggyback).
     ``piggyback`` carries CIC's clock/vector payload when present.
+    ``meta`` is set only on COOR markers and coordinator triggers (the
+    round id, the trigger flag). ``arr`` is the virtual time the message
+    entered its channel queue at the receiver.
     """
 
     kind: Kind
@@ -73,7 +76,8 @@ class Message:
     payload_bytes: int
     proto_bytes: int = 0
     piggyback: Optional[dict] = None
-    meta: dict = field(default_factory=dict)
+    meta: Optional[dict] = None
+    arr: float = 0.0
 
 
 #: Default workload payload sizes in bytes per record kind. Q1's bids are the

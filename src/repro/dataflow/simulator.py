@@ -27,9 +27,19 @@ Execution model (all virtual time, deterministic given the config):
   messages (epoch bump); messages already sent toward the external sink
   still arrive. Recovery restores the protocol's recovery line, rewinds
   source offsets, replays logged in-flight messages, and resumes.
+
+Memory: :meth:`Simulation.run` turns CPython's cyclic garbage collector
+off for the event loop (and back on afterwards if it was on). The loop
+allocates millions of short-lived acyclic objects (heap tuples, messages,
+log entries, snapshot containers), and collector passes over that growing
+heap used to be the largest single cost of a paper-scale run. A simulation
+holds no reference cycle once its event heap has drained — the protocol
+keeps only a weak proxy of the simulation — so reference counting frees
+it as soon as the caller drops it.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import operator
 from collections import deque
@@ -104,7 +114,7 @@ class Simulation:
         self.graph = graph
         self.W = n_workers
         self.protocol = protocol
-        self.cost = cost or SimCost()
+        self.cost = cost = cost or SimCost()
         self.rng = np.random.default_rng(seed)
         self.telemetry = Telemetry()
         self.store = CheckpointStore()
@@ -137,6 +147,12 @@ class Simulation:
         self.routes: Dict[str, List[Tuple[Edge, bool]]] = {name: [] for name in graph.ops}
         for e in graph.edges:
             self.routes[e.src].append((e, e.dst in self.sink_ops))
+
+        # --- per-message costs, resolved once ------------------------------
+        self._service = {name: cost.op_service(spec.kind) for name, spec in graph.ops.items()}
+        self._source_service = cost.op_service("source")
+        self._marker_service = cost.op_service("marker")
+        self._per_byte = cost.serialize_per_byte
 
         # --- static channel lists per instance -----------------------------
         self.out_channels: Dict[InstanceId, List[Channel]] = {i: [] for i in self.instances}
@@ -181,6 +197,8 @@ class Simulation:
         self.n_dedup_drops = 0
         self.n_dup_sink = 0
         self._extra_service = 0.0
+        #: serialization cost of the outbox so far, summed in outbox order
+        self._send_cost = 0.0
         self._outbox: Optional[List[Message]] = None
 
         # implicit initial checkpoints (index 0) for every worker instance
@@ -221,9 +239,8 @@ class Simulation:
             seq=0,
             record=None,
             payload_bytes=0,
+            meta={**meta, "trigger": True},
         )
-        msg.meta.update(meta)
-        msg.meta["trigger"] = True
         self._enqueue(self.now, msg)
 
     # --------------------------------------------------------------- sources
@@ -257,7 +274,7 @@ class Simulation:
     # --------------------------------------------------------- channel plumb
     def _enqueue(self, t: float, msg: Message) -> None:
         ch = msg.channel
-        msg.meta["arr"] = t
+        msg.arr = t
         q = self.queues.get(ch)
         if q is None:
             q = self.queues[ch] = deque()
@@ -267,7 +284,8 @@ class Simulation:
             w = ch[3]
             heapq.heappush(self.heads[w], (t, self._counter, ch))
             self._counter += 1
-            self._dispatch(w, t)
+            if self.current[w] is None and self.busy_until[w] <= t:
+                self._dispatch(w, t)
 
     def unblock_channel(self, ch: Channel) -> None:
         """Called by COOR when alignment completes for a channel."""
@@ -275,7 +293,7 @@ class Simulation:
         if q and not self.in_ready.get(ch):
             self.in_ready[ch] = True
             w = ch[3]
-            heapq.heappush(self.heads[w], (q[0].meta["arr"], self._counter, ch))
+            heapq.heappush(self.heads[w], (q[0].arr, self._counter, ch))
             self._counter += 1
             self._dispatch(w, self.now)
 
@@ -284,23 +302,24 @@ class Simulation:
         if self.failed or self.current[w] is not None or self.busy_until[w] > t:
             return
         heads = self.heads[w]
+        in_ready = self.in_ready
         while heads:
             arr, _, ch = heapq.heappop(heads)
-            if not self.in_ready.get(ch):
+            if not in_ready.get(ch):
                 continue
             if self.protocol.is_blocked(ch):
-                self.in_ready[ch] = False
+                in_ready[ch] = False
                 continue
             q = self.queues.get(ch)
             if not q:
-                self.in_ready[ch] = False
+                in_ready[ch] = False
                 continue
             msg = q.popleft()
             if q:
-                heapq.heappush(heads, (q[0].meta["arr"], self._counter, ch))
+                heapq.heappush(heads, (q[0].arr, self._counter, ch))
                 self._counter += 1
             else:
-                self.in_ready[ch] = False
+                in_ready[ch] = False
             dur = self._process(w, ch, msg, t)
             if dur is None:
                 continue  # duplicate dropped with zero cost
@@ -309,22 +328,21 @@ class Simulation:
             return
 
     def _process(self, w: int, ch: Channel, msg: Message, t: float) -> Optional[float]:
-        cost = self.cost
         inst = (ch[2], ch[3])
         self._outbox = []
         self._extra_service = 0.0
+        self._send_cost = 0.0
         # reentrancy guard: protocol hooks (unblock_channel) may try to
         # re-dispatch this worker while we are mid-process
         self.current[w] = self._outbox
-        spec = self.graph.ops[inst[0]]
 
         if ch[0] == _SRC:
             self.cursors[inst].advance()
             self.telemetry.n_source_emitted += 1
-            service = cost.op_service("source")
+            service = self._source_service
             self._emit(t, inst, msg.record)
-        elif msg.kind == Kind.MARKER:
-            service = cost.op_service("marker")
+        elif msg.kind is Kind.MARKER:
+            service = self._marker_service
             self.protocol.on_marker(t, inst, msg)
         else:
             prev = self.recv_seq.get(ch, 0)
@@ -336,36 +354,38 @@ class Simulation:
             extra = self.protocol.before_process(t, inst, msg)
             self._extra_service += extra
             self.recv_seq[ch] = msg.seq
-            service = cost.op_service(spec.kind)
-            service += cost.serialize_per_byte * msg.proto_bytes
+            service = self._service[inst[0]]
+            service += self._per_byte * msg.proto_bytes
             for rec in self.instances[inst].process(msg.record, ch[0]):
                 self._emit(t, inst, rec)
 
-        send_cost = sum(cost.serialize_per_byte * m.proto_bytes for m in self._outbox)
-        dur = service + self._extra_service + send_cost
+        dur = service + self._extra_service + self._send_cost
         self._outbox = None
         return dur
 
     def _emit(self, t: float, inst: InstanceId, rec: Record) -> None:
         op, idx = inst
+        payload = payload_bytes_for(rec)
+        per_byte = self._per_byte
+        send_cost = self._send_cost
+        sent_seq = self.sent_seq
+        on_send = self.protocol.on_send
+        tel = self.telemetry
+        outbox = self._outbox
         for edge, to_sink in self.routes[op]:
             targets = (0,) if to_sink else edge.route(rec, idx, self.W)
             for j in targets:
                 ch = (op, idx, edge.dst, j)
-                seq = self.sent_seq.get(ch, 0) + 1
-                self.sent_seq[ch] = seq
-                msg = Message(
-                    kind=Kind.DATA,
-                    channel=ch,
-                    seq=seq,
-                    record=rec,
-                    payload_bytes=payload_bytes_for(rec),
-                )
-                self.protocol.on_send(t, inst, msg)
-                self.telemetry.n_data_msgs += 1
-                self.telemetry.data_payload_bytes += msg.payload_bytes
-                self.telemetry.piggyback_bytes += msg.proto_bytes
-                self._outbox.append(msg)
+                seq = sent_seq.get(ch, 0) + 1
+                sent_seq[ch] = seq
+                msg = Message(Kind.DATA, ch, seq, rec, payload)
+                on_send(t, inst, msg)
+                tel.n_data_msgs += 1
+                tel.data_payload_bytes += payload
+                tel.piggyback_bytes += msg.proto_bytes
+                send_cost += per_byte * msg.proto_bytes
+                outbox.append(msg)
+        self._send_cost = send_cost
 
     def emit_marker(self, inst: InstanceId, round_id: int) -> None:
         """COOR: broadcast a marker on every non-sink outgoing channel.
@@ -383,10 +403,11 @@ class Simulation:
                 record=None,
                 payload_bytes=0,
                 proto_bytes=MARKER_BYTES,
+                meta={"round": round_id},
             )
-            msg.meta["round"] = round_id
             self.telemetry.n_marker_msgs += 1
             self.telemetry.marker_bytes += MARKER_BYTES
+            self._send_cost += self._per_byte * MARKER_BYTES
             self._outbox.append(msg)
 
     # ----------------------------------------------------------- checkpoints
@@ -530,6 +551,10 @@ class Simulation:
         protocol timer horizon; the event loop continues past it until every
         message has been processed, so latency tails and recovery behaviour
         are fully observed.
+
+        The cyclic garbage collector is off while the loop runs (see the
+        module docstring) and is switched back on afterwards only if it
+        was on before.
         """
         self.horizon = duration
         for inst in self.cursors:
@@ -538,35 +563,49 @@ class Simulation:
         if fail_at is not None:
             self._push(fail_at, "call", self._fail, epoch_exempt=True)
 
-        pops = 0
-        heap = self.heap
-        sink_ops = self.sink_ops
-        while heap:
-            pops += 1
-            if pops > max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
-            t, _, kind, epoch, data = heapq.heappop(heap)
-            self.now = t
-            if epoch not in (-1, self.epoch):
-                continue  # stale (pre-failure) event
-            if kind == "arrive":
-                if data.channel[0] == _SRC:
-                    self._push_source_record(data.channel[2:], data.seq + 1)
-                if not self.failed:
-                    self._enqueue(t, data)
-            elif kind == "proc":
-                w = data
-                for m in self.current[w] or ():
-                    if m.channel[2] in sink_ops:
-                        self._push(t + self.cost.channel_latency, "sink", m, epoch_exempt=True)
-                    else:
-                        self._push(t + self.cost.channel_latency, "arrive", m)
-                self.current[w] = None
-                self._dispatch(w, t)
-            elif kind == "sink":
-                self._sink_arrive(t, data)
-            else:  # "call"
-                data(t)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pops = 0
+            heap = self.heap
+            push, pop = heapq.heappush, heapq.heappop
+            sink_ops = self.sink_ops
+            latency = self.cost.channel_latency
+            while heap:
+                pops += 1
+                if pops > max_events:
+                    raise RuntimeError(f"simulation exceeded {max_events} events")
+                t, _, kind, epoch, data = pop(heap)
+                self.now = t
+                if epoch != self.epoch and epoch != -1:
+                    continue  # stale (pre-failure) event
+                if kind == "arrive":
+                    if data.channel[0] == _SRC:
+                        self._push_source_record(data.channel[2:], data.seq + 1)
+                    if not self.failed:
+                        self._enqueue(t, data)
+                elif kind == "proc":
+                    # deliver the finished dispatch's outbox, as _push would
+                    out = self.current[data]
+                    if out:
+                        t_arr = t + latency
+                        counter, now_epoch = self._counter, self.epoch
+                        for m in out:
+                            counter += 1
+                            if m.channel[2] in sink_ops:
+                                push(heap, (t_arr, counter, "sink", -1, m))
+                            else:
+                                push(heap, (t_arr, counter, "arrive", now_epoch, m))
+                        self._counter = counter
+                    self.current[data] = None
+                    self._dispatch(data, t)
+                elif kind == "sink":
+                    self._sink_arrive(t, data)
+                else:  # "call"
+                    data(t)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
         fingerprints = {
             inst: op.state_fingerprint()

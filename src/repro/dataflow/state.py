@@ -8,6 +8,7 @@ testbed property, not a protocol property.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -83,10 +84,10 @@ class MessageLog:
     """
 
     def __init__(self):
-        self._log: Dict[Channel, List[Tuple[int, Any]]] = {}
+        self._log: Dict[Channel, List[Tuple[int, Any]]] = defaultdict(list)
 
     def append(self, channel: Channel, seq: int, record: Any) -> None:
-        self._log.setdefault(channel, []).append((seq, record))
+        self._log[channel].append((seq, record))
 
     def replay_range(self, channel: Channel, after_seq: int, upto_seq: int) -> List[Tuple[int, Any]]:
         """Logged (seq, record) with after_seq < seq <= upto_seq, in order."""

@@ -8,6 +8,7 @@ paper's Table I.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -65,8 +66,12 @@ class Protocol:
         self.sim = None  # set by bind()
 
     def bind(self, sim) -> None:
-        """Attach to a simulator; validate topology support."""
-        self.sim = sim
+        """Attach to a simulator; validate topology support.
+
+        The protocol keeps a weak proxy: the simulation owns its protocol,
+        and a strong back-reference would be a cycle that only the cyclic
+        garbage collector could free (``Simulation.run`` turns it off)."""
+        self.sim = weakref.proxy(sim)
         if not self.supports_cycles and sim.graph.has_cycle():
             raise UnsupportedTopologyError(
                 f"{self.name} cannot checkpoint cyclic dataflow graphs"

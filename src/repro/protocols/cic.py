@@ -23,9 +23,11 @@ DESIGN.md §2.2).
 Implementation notes: boolean vectors are immutable int bitmasks and the
 ``ckpt`` vector an immutable tuple, so piggybacking is reference-passing
 (no per-message copying); merges are skipped when the sender's vector
-object is unchanged since the last merge. The piggyback *byte* model
-(driving Table II) is ``8 + 4*K + 2*ceil(N/8)`` with K logical operators
-and N = K*W instances — the streaming adaptation discussed in DESIGN.md.
+object is the one merged last time. The receiver keeps that tuple, not
+its ``id``: a freed tuple's id can be reused by a newer vector. The
+piggyback *byte* model (driving Table II) is ``8 + 4*K + 2*ceil(N/8)``
+with K logical operators and N = K*W instances — the streaming
+adaptation discussed in DESIGN.md.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ class CICState:
         self.taken = 0  #: bitmask over instances
         self.greater = 0
         self.sent_to = 0
-        self._merged: Dict[int, int] = {}  #: sender idx -> id(last merged ckpt tuple)
+        self._merged: Dict[int, Tuple[int, ...]] = {}  #: sender idx -> last merged ckpt tuple
 
 
 class CICProtocol(UncoordinatedProtocol):
@@ -132,10 +134,10 @@ class CICProtocol(UncoordinatedProtocol):
         if pb["clock"] > st.clock:
             st.clock = pb["clock"]
         ck = pb["ckpt"]
-        if st._merged.get(s) != id(ck):
-            st._merged[s] = id(ck)
+        if st._merged.get(s) is not ck:
+            st._merged[s] = ck
             if ck != st.ckpt:
-                st.ckpt = tuple(max(a, b) for a, b in zip(st.ckpt, ck))
+                st.ckpt = tuple(map(max, st.ckpt, ck))
         st.taken |= pb["taken"] | (1 << s)
         if st.clock > pb["clock"]:
             st.greater |= 1 << s

@@ -11,6 +11,7 @@ import pytest
 from pyspark.sql import types as T
 
 from repro.core import harness, mst
+from repro.core.config import ExperimentConfig, build
 from repro.dataflow import simulator
 from repro.protocols import uncoordinated
 
@@ -47,3 +48,40 @@ def test_simulator_heapq_is_swappable():
         used = set(re.findall(r"\bheapq\.(\w+)", f.read()))
     assert used <= {"heappush", "heappop"}
     assert isinstance(simulator._SRC, str)
+
+
+@pytest.mark.parametrize("protocol", ["COOR", "UNC", "CIC"])
+def test_heap_pushes_have_the_shape_the_counting_stand_in_reads(protocol, monkeypatch):
+    # the stand-in tells the event heap from the per-worker channel heaps by
+    # tuple length, counts event pushes by ``item[2]`` and reads
+    # ``item[4].channel`` of arrivals
+    cfg = ExperimentConfig(query="q3", protocol=protocol, workers=3, rate=600.0,
+                           duration=6.0, fail_at=3.0)
+    sim = build(cfg)
+    events, heads = [], 0
+
+    class RecordingHeapq:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, item):
+            nonlocal heads
+            if heap is sim.heap:
+                events.append(item)
+            else:
+                assert len(item) == 3 and isinstance(item[2], tuple)  # (t, counter, channel)
+                heads += 1
+            heapq.heappush(heap, item)
+
+    monkeypatch.setattr(simulator, "heapq", RecordingHeapq)
+    sim.run(cfg.duration, fail_at=cfg.fail_at)
+    assert heads > 0
+    kinds = set()
+    for item in events:
+        assert isinstance(item, tuple) and len(item) == 5
+        t, counter, kind, epoch, data = item
+        assert isinstance(t, float) and isinstance(counter, int) and isinstance(epoch, int)
+        kinds.add(kind)
+        if kind in ("arrive", "sink"):
+            assert isinstance(data.channel, tuple) and len(data.channel) == 4
+    assert kinds == {"arrive", "proc", "sink", "call"}

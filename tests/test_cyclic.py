@@ -2,6 +2,8 @@
 import pytest
 
 from helpers import cyclic_workload, run_cyclic
+from repro.core.harness import sweep_local
+from repro.core.tables import table4_configs, table4_frame
 from repro.nexmark.cyclic import (
     EVENT_MIX,
     cyclic_events,
@@ -105,3 +107,15 @@ class TestSimulationCorrectness:
         total = len(res.telemetry.checkpoints)
         invalid = res.telemetry.recovery["invalid"]
         assert invalid <= 0.25 * max(total, 1)
+
+    def test_table4_shape_at_four_workers(self):
+        """Table IV on a denser graph (20 k nodes) than the paper's: UNC and
+        CIC checkpoint in milliseconds, recovery costs restart time, and
+        the rollback stays well below half of the checkpoints — at ~5
+        checkpoints per instance one interval is already ~20 %."""
+        cfgs = table4_configs(workers=(4,), duration=20.0, fail_at=14.0, n_nodes=20_000)
+        frame = table4_frame(sweep_local(cfgs)).set_index("protocol")
+        for p in ("UNC", "CIC"):
+            assert frame.loc[p, "ct_ms"] < 10.0
+            assert frame.loc[p, "invalid_pct"] < 40.0
+            assert frame.loc[p, "rt_ms"] > 0

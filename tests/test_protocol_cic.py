@@ -139,6 +139,28 @@ class TestForcedCheckpoints:
         proto.before_process(0.5, inst, msg)
         assert proto.states[inst].ckpt[s] == 3
 
+    def test_newer_vector_merged_after_older_one_was_freed(self):
+        """The merge shortcut must compare vector objects, not ids: the
+        first tuple is freed before the second is built, so CPython can
+        hand the second the first one's id."""
+        sim = cic_sim("q1", w=1)
+        proto = sim.protocol
+        inst = ("map", 0)
+        s = proto.inst_index[("src_bids", 0)]
+
+        def deliver(count):
+            ck = tuple([count if i == s else 0 for i in range(proto.n_instances)])
+            msg = Message(
+                kind=Kind.DATA, channel=("src_bids", 0, "map", 0), seq=count,
+                record=None, payload_bytes=10,
+                piggyback={"clock": 0, "ckpt": ck, "taken": 0, "greater": 0, "sender": s},
+            )
+            proto.before_process(0.5, inst, msg)
+
+        deliver(1)
+        deliver(2)
+        assert proto.states[inst].ckpt[s] == 2
+
     def test_replayed_message_without_piggyback_is_safe(self):
         sim = cic_sim("q12")
         msg = Message(kind=Kind.DATA, channel=("src_bids", 1, "wincount", 0),

@@ -6,12 +6,14 @@ so the whole suite stays fast; the full-scale numbers live in
 EXPERIMENTS.md via the jobs.
 """
 import math
+from functools import lru_cache
 
 import pytest
 
 from repro.core.config import ExperimentConfig
-from repro.core.harness import run_config
+from repro.core.harness import run_config, sweep_local
 from repro.core.mst import measure_mst
+from repro.core.tables import table23_configs
 
 W = 4
 
@@ -24,6 +26,14 @@ def _run(query, protocol, **kw):
     )
     row, _ = run_config(cfg)
     return row
+
+
+@lru_cache(maxsize=None)
+def _table23_grid(query):
+    """The shared Table II/III grid for one query at 6 workers, 20 s, with
+    the failure at 8 s; indexed by protocol."""
+    cfgs = table23_configs(workers=(6,), queries=(query,), duration=20.0, fail_at=8.0)
+    return sweep_local(cfgs).set_index("protocol")
 
 
 class TestFig7MSTShape:
@@ -95,6 +105,14 @@ class TestTable2Shape:
         assert ratio(unc) < 1.03
         assert ratio(coor) < 1.05
 
+    def test_cic_overhead_dominates_on_q1_grid(self):
+        """Q1 has the smallest records, so the largest CIC ratio."""
+        grid = _table23_grid("q1")
+        ratio = grid.total_bytes / grid.data_bytes
+        assert ratio["CIC"] > 1.5
+        assert ratio["UNC"] < 1.03
+        assert ratio["COOR"] < 1.05
+
 
 class TestTable3Shape:
     def test_unc_takes_more_checkpoints_than_coor(self):
@@ -109,3 +127,9 @@ class TestTable3Shape:
     def test_unc_few_invalid_on_shuffle(self):
         unc = _run("q12", "UNC", duration=20.0, fail_at=8.0)
         assert 0 <= unc["invalid"] / max(unc["ckpt_total"], 1) < 0.15
+
+    def test_q3_grid_shape(self):
+        grid = _table23_grid("q3")
+        assert grid.loc["COOR", "invalid"] == 0
+        assert grid.loc["UNC", "ckpt_total"] > grid.loc["COOR", "ckpt_total"]
+        assert 0 <= grid.loc["UNC", "invalid"] / grid.loc["UNC", "ckpt_total"] < 0.15

@@ -1,9 +1,11 @@
 """Tests for the discrete-event simulator's core mechanics."""
+import gc
 import heapq
 
 import pytest
 
 from helpers import make_protocol, run_query
+from repro.core.config import ExperimentConfig, build
 from repro.dataflow import simulator as sim_mod
 from repro.dataflow.costs import SimCost
 from repro.dataflow.messages import Kind, Message, Record
@@ -191,3 +193,42 @@ class TestByteAccounting:
         res = run_query("q12", "UNC", fail_at=6.0)
         cf = res.telemetry.checkpoints_frame()
         assert set(cf.columns) >= {"op", "instance", "index", "ts", "kind", "duration"}
+
+
+class TestMemory:
+    """``run`` turns the cyclic garbage collector off for its loop, so a
+    finished simulation must be freed by reference counting alone."""
+
+    @pytest.mark.parametrize("query,protocol", [
+        ("q3", "COOR"), ("q3", "UNC"), ("q3", "CIC"),
+        ("q12", "COOR"), ("q12", "UNC"), ("q12", "CIC"),
+        ("cyclic", "UNC"), ("cyclic", "CIC"),
+    ])
+    def test_finished_run_leaves_no_cyclic_garbage(self, query, protocol):
+        cfg = ExperimentConfig(
+            query=query, protocol=protocol, workers=3,
+            rate=200.0 if query == "cyclic" else 600.0,
+            duration=6.0, fail_at=3.0, n_nodes=2000,
+        )
+        gc.collect()
+        sim = build(cfg)
+        res = sim.run(cfg.duration, fail_at=cfg.fail_at)
+        assert res.telemetry.recovery["t_resume"] > 3.0  # failure and recovery ran
+        del sim, res
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored_after_run(self, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            tiny().run(4.0)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_restored_when_run_raises(self):
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="exceeded 100 events"):
+            tiny().run(4.0, max_events=100)
+        assert gc.isenabled()
